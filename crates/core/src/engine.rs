@@ -19,7 +19,7 @@ use wasai_chain::name::Name;
 use wasai_chain::{Chain, Receipt, Transaction};
 use wasai_obs as obs;
 use wasai_smt::{CachedQuery, PrefixSolver, QueryKey, SolveResult, SolverCache};
-use wasai_symex::{constraint_vars, flip_queries, seed_from_model, Replayer};
+use wasai_symex::{constraint_vars, flip_queries, has_open_flip_target, seed_from_model, Replayer};
 
 use crate::clock::VirtualClock;
 use crate::config::FuzzConfig;
@@ -33,6 +33,13 @@ use crate::report::FuzzReport;
 use crate::scanner::{PayloadKind, Scanner};
 use crate::seed::{random_seed, random_value};
 use crate::telemetry::{self, SmtOutcome, Stage, TelemetryEvent, TelemetrySink};
+
+/// Solve attempts per flip target. A solved model does not guarantee the
+/// chased seed reaches the flipped branch (the delivery path may force
+/// from/to and clamp the asset, §3.5's payload templates), so a target gets
+/// a few tries before it is written off — a permanently poisoned key could
+/// otherwise stall a campaign two flips short of a gate.
+const MAX_FLIP_ATTEMPTS: u32 = 3;
 
 /// The WASAI fuzzing engine.
 #[derive(Debug)]
@@ -491,15 +498,42 @@ impl Engine {
         let Some(decl) = prepared.info.abi.action(action) else {
             return Vec::new();
         };
+        // Replay only a trace that can still yield a flip target: one not yet
+        // covered and with tries left. Otherwise `flip_queries` and the
+        // attempt gate below would discard every query, so skipping the
+        // replay cannot change the report.
+        let open = has_open_flip_target(
+            &prepared.info.original,
+            &prepared.assert_imports,
+            action_func,
+            &receipt.trace,
+            |key| {
+                !self.explored.contains(&key)
+                    && self
+                        .attempted
+                        .get(&key)
+                        .is_none_or(|&n| n < MAX_FLIP_ATTEMPTS)
+            },
+        );
+        if !open {
+            obs::inc(obs::Counter::ReplaysSkipped);
+            return Vec::new();
+        }
         // `params` is consumed into the binding pairs — no per-transaction
         // re-clone of the declaration or the values.
         let pairs: Vec<_> = decl.params.iter().copied().zip(params).collect();
         stage::enter(stage::REPLAY);
         obs::inc(obs::Counter::Replays);
         let replay_timer = obs::ScopeTimer::start(obs::Histogram::ReplayWallSeconds);
-        let outcome = Replayer::new(&prepared.info.original, action_func, 1, &pairs)
-            .with_deadline(self.cfg.deadline)
-            .run(&receipt.trace);
+        let outcome = Replayer::new(
+            &prepared.info.original,
+            &prepared.assert_imports,
+            action_func,
+            1,
+            &pairs,
+        )
+        .with_deadline(self.cfg.deadline)
+        .run(&receipt.trace);
         drop(replay_timer);
         stage::enter(stage::CAMPAIGN);
         if outcome.truncated {
@@ -532,13 +566,8 @@ impl Engine {
                 break;
             }
             let key = q.target_key();
-            // A solved model does not guarantee the chased seed reaches the
-            // flipped branch (the delivery path may force from/to and clamp
-            // the asset, §3.5's payload templates), so allow a few retries
-            // per target before writing it off — a permanently poisoned key
-            // can otherwise stall a campaign two flips short of a gate.
             let tries = self.attempted.entry(key).or_insert(0);
-            if *tries >= 3 {
+            if *tries >= MAX_FLIP_ATTEMPTS {
                 continue;
             }
             *tries += 1;

@@ -8,6 +8,7 @@ use wasai_chain::abi::{Abi, ActionDecl, ParamValue};
 use wasai_chain::asset::Asset;
 use wasai_chain::name::Name;
 use wasai_chain::{Action, Chain, NativeKind, Transaction};
+use wasai_symex::AssertImports;
 use wasai_vm::{CompiledModule, TraceKind, TraceRecord};
 use wasai_wasm::instr::Instr;
 use wasai_wasm::Module;
@@ -85,6 +86,9 @@ pub struct PreparedTarget {
     pub compiled: Arc<CompiledModule>,
     /// Branch sites of the *original* module (trace sites refer to it).
     pub branch_sites: BranchSites,
+    /// The original module's `eosio_assert` imports, which Symback replays
+    /// and open-target scans treat as conditional states.
+    pub assert_imports: AssertImports,
     /// The post-`setup_chain` chain state, captured once. Campaigns fork it
     /// copy-on-write instead of replaying deployment from genesis per seed.
     /// `None` when the fast path is disabled (`WASAI_VM_FAST=0`) or the
@@ -160,10 +164,12 @@ impl PreparedTarget {
         }
         .map_err(|e| wasai_chain::ChainError::BadContract(e.to_string()))?;
         let branch_sites = BranchSites::new(&target.original);
+        let assert_imports = AssertImports::of(&target.original);
         let mut prepared = PreparedTarget {
             info: target,
             compiled,
             branch_sites,
+            assert_imports,
             snapshot: None,
         };
         if !reference && wasai_vm::fast_path_enabled() {

@@ -101,6 +101,9 @@ metric_enum! {
         BranchSites,
         /// `wasai_replays_total`
         Replays,
+        /// `wasai_replays_skipped_total` — traces not replayed because no
+        /// flip target they could yield was still open.
+        ReplaysSkipped,
         /// `wasai_flips_total`
         Flips,
         /// `wasai_smt_queries_total{outcome="sat"}`
@@ -166,6 +169,7 @@ impl Counter {
             Counter::CoverageBranches => "wasai_coverage_branches_total",
             Counter::BranchSites => "wasai_branch_sites_total",
             Counter::Replays => "wasai_replays_total",
+            Counter::ReplaysSkipped => "wasai_replays_skipped_total",
             Counter::Flips => "wasai_flips_total",
             Counter::SmtSat | Counter::SmtUnsat | Counter::SmtUnknown => "wasai_smt_queries_total",
             Counter::SmtPropagations => "wasai_smt_propagations_total",
@@ -235,6 +239,10 @@ impl Counter {
                  (coverage denominator)."
             }
             Counter::Replays => "Symbolic trace replays performed.",
+            Counter::ReplaysSkipped => {
+                "Traces not replayed because every flip target they could yield was \
+                 already covered or out of solve attempts."
+            }
             Counter::Flips => "Constraints flipped into adaptive seeds.",
             Counter::SmtSat | Counter::SmtUnsat | Counter::SmtUnknown => {
                 "SMT flip queries answered, by verdict."

@@ -38,7 +38,7 @@ use crate::registry::{Counter, Gauge, HistSnapshot, Histogram, Registry, NUM_BUC
 /// changes shape; a mismatched frame is rejected wholesale (worker and
 /// supervisor are always the same binary, so this only trips on torn
 /// frames and operator error).
-pub const SNAPSHOT_VERSION: u64 = 1;
+pub const SNAPSHOT_VERSION: u64 = 2;
 
 /// FNV-1a, the same construction the durable journal uses for outcome
 /// records: self-contained, stable across platforms, and one multiply per
@@ -337,7 +337,7 @@ mod tests {
         let snap = sample();
         let frame = snap.to_frame();
         assert!(
-            frame.starts_with("{\"type\":\"metrics\",\"v\":1,"),
+            frame.starts_with(&format!("{{\"type\":\"metrics\",\"v\":{SNAPSHOT_VERSION},")),
             "{frame}"
         );
         assert!(!frame.contains('\n'), "frames must be line-atomic");

@@ -21,6 +21,18 @@
 //! counts only the propagations actually executed, which the solver
 //! microbench compares against the from-scratch total.
 //!
+//! # Lazy advance
+//!
+//! A query answered from a cache still moves the session forward
+//! ([`PrefixSolver::advance`]), so later queries see one session state
+//! whoever answered the earlier ones. That move is only a claim: `advance`
+//! records how much of the chain the session now covers, and the blasting
+//! is deferred until a [`solve`](PrefixSolver::solve) needs the instance.
+//! The solve then asserts the claimed-but-unblasted items in chain order,
+//! followed by its own extension — the same assertion sequence an eager
+//! advance would have produced, so results and [`SolveStats`] are
+//! unchanged, and a replay whose queries all hit a cache blasts nothing.
+//!
 //! [`solve_assuming`](PrefixSolver::solve_assuming) is the classic
 //! alternative: one persistent SAT instance, each flip decided as a SAT
 //! *assumption* ([`crate::sat::SatSolver::solve_with_assumptions`]), learnt
@@ -73,6 +85,11 @@ pub struct PrefixSolver<'p> {
     /// extend the earlier ones — debug-asserted).
     #[cfg(debug_assertions)]
     raw: Vec<TermId>,
+    /// Raw prefix length claimed through [`PrefixSolver::advance`] or a
+    /// query; the contract point later slices must extend.
+    claimed: usize,
+    /// Raw prefix items actually blasted into `bb` (≤ `claimed`; the rest
+    /// is blasted by the next query that needs the instance).
     raw_seen: usize,
     /// Effective (post-preprocessing) constraints asserted into `bb`.
     asserted: usize,
@@ -102,6 +119,7 @@ impl<'p> PrefixSolver<'p> {
             bb: BitBlaster::new(pool),
             #[cfg(debug_assertions)]
             raw: Vec::new(),
+            claimed: 0,
             raw_seen: 0,
             asserted: 0,
             seen: HashSet::new(),
@@ -130,8 +148,10 @@ impl<'p> PrefixSolver<'p> {
         }
     }
 
-    /// True once the session has consumed any prefix or answered any query —
-    /// the "this query extends an existing instance" telemetry signal.
+    /// True once the session has claimed any prefix (through
+    /// [`advance`](PrefixSolver::advance) or a query that reached the
+    /// solver) — the "this query extends an existing instance" telemetry
+    /// signal. Blasting is lazy, so this does not mean any work was done.
     pub fn started(&self) -> bool {
         self.started
     }
@@ -156,15 +176,15 @@ impl<'p> PrefixSolver<'p> {
     /// element-wise comparison (contents actually extend) is debug-only.
     fn check_extends(&self, prefix: &[TermId]) {
         assert!(
-            prefix.len() >= self.raw_seen,
+            prefix.len() >= self.claimed,
             "prefix slices must extend previously seen ones \
              (got {} items after consuming {})",
             prefix.len(),
-            self.raw_seen
+            self.claimed
         );
         #[cfg(debug_assertions)]
         assert!(
-            prefix[..self.raw_seen] == self.raw[..],
+            prefix[..self.claimed] == self.raw[..],
             "prefix slices must extend previously seen ones \
              (same length, diverging contents)"
         );
@@ -178,7 +198,7 @@ impl<'p> PrefixSolver<'p> {
                 return true;
             }
         }
-        for (i, &c) in prefix.iter().enumerate().skip(self.raw_seen) {
+        for (i, &c) in prefix.iter().enumerate().skip(self.claimed) {
             if self.pool.as_const(c) == Some(0) {
                 let earliest = self.false_at.map_or(i, |p| p.min(i));
                 self.false_at = Some(earliest);
@@ -188,20 +208,30 @@ impl<'p> PrefixSolver<'p> {
         delta.is_some_and(|d| self.pool.as_const(d) == Some(0))
     }
 
-    /// Blast any not-yet-consumed part of `prefix` into the shared instance
-    /// (trivial and repeated constraints are skipped, mirroring
-    /// [`check`](crate::solver::check)'s preprocessing). Used directly when
-    /// a fleet-cache hit skips the solve but the session must keep pace.
+    /// Claim `prefix` as consumed without blasting it: the next
+    /// [`solve`](PrefixSolver::solve) blasts every claimed item it has not
+    /// yet asserted, in chain order, before its own. Used when a cache hit
+    /// skips the solve but the session must keep pace. Only the
+    /// constant-false scan runs here, so `advance` alone does no SAT work.
     pub fn advance(&mut self, prefix: &[TermId]) {
         self.check_extends(prefix);
         if self.trivially_false(prefix, None) {
             return;
         }
         self.started = true;
+        #[cfg(debug_assertions)]
+        self.raw.extend_from_slice(&prefix[self.claimed..]);
+        self.claimed = prefix.len();
+    }
+
+    /// [`advance`](PrefixSolver::advance) over `prefix`, then blast every
+    /// claimed item not yet in the shared instance (trivial and repeated
+    /// constraints are skipped, mirroring
+    /// [`check`](crate::solver::check)'s preprocessing).
+    fn advance_and_blast(&mut self, prefix: &[TermId]) {
+        self.advance(prefix);
         let before = self.bb.sat.propagations;
-        for &c in &prefix[self.raw_seen..] {
-            #[cfg(debug_assertions)]
-            self.raw.push(c);
+        for &c in &prefix[self.raw_seen..self.claimed] {
             if self.pool.as_const(c) == Some(1) {
                 continue;
             }
@@ -210,7 +240,7 @@ impl<'p> PrefixSolver<'p> {
                 self.asserted += 1;
             }
         }
-        self.raw_seen = prefix.len();
+        self.raw_seen = self.claimed;
         self.work_props += self.bb.sat.propagations - before;
     }
 
@@ -233,7 +263,7 @@ impl<'p> PrefixSolver<'p> {
         if self.trivially_false(prefix, Some(delta)) {
             return (SolveResult::Unsat, SolveStats::default());
         }
-        self.advance(prefix);
+        self.advance_and_blast(prefix);
         let delta_dropped = self.pool.as_const(delta) == Some(1) || self.seen.contains(&delta);
         if self.asserted == 0 && delta_dropped {
             return (SolveResult::Sat(Model::default()), SolveStats::default());
@@ -277,7 +307,7 @@ impl<'p> PrefixSolver<'p> {
         if self.trivially_false(prefix, Some(delta)) {
             return (SolveResult::Unsat, SolveStats::default());
         }
-        self.advance(prefix);
+        self.advance_and_blast(prefix);
         let delta_dropped = self.pool.as_const(delta) == Some(1) || self.seen.contains(&delta);
         if self.asserted == 0 && delta_dropped {
             return (SolveResult::Sat(Model::default()), SolveStats::default());
@@ -346,7 +376,7 @@ impl<'p> PrefixSolver<'p> {
         if self.trivially_false(prefix, Some(delta)) {
             return (SolveResult::Unsat, SolveStats::default());
         }
-        self.advance(prefix);
+        self.advance_and_blast(prefix);
         let delta_dropped = self.pool.as_const(delta) == Some(1) || self.seen.contains(&delta);
         if self.asserted == 0 && delta_dropped {
             return (SolveResult::Sat(Model::default()), SolveStats::default());
@@ -394,6 +424,7 @@ impl<'p> PrefixSolver<'p> {
 impl std::fmt::Debug for PrefixSolver<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("PrefixSolver")
+            .field("claimed", &self.claimed)
             .field("raw_seen", &self.raw_seen)
             .field("asserted", &self.asserted)
             .field("mode", &self.mode)
@@ -463,6 +494,59 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn lazy_advances_then_solve_match_from_scratch() {
+        // Two cache-hit advances, then a real solve over a longer prefix:
+        // the solve blasts both claimed stretches and its own extension in
+        // chain order, so it must equal a from-scratch check exactly.
+        for salt in 0..4u64 {
+            let mut pool = TermPool::new();
+            let (path, flips) = flip_family(&mut pool, 12, salt);
+            for (p1, p2, p3) in [(2, 5, 9), (0, 0, 4), (3, 3, 3), (4, 11, 11)] {
+                let mut session = PrefixSolver::new(&pool);
+                session.advance(&path[..p1]);
+                session.advance(&path[..p2]);
+                let mut scratch: Vec<TermId> = path[..p3].to_vec();
+                scratch.push(flips[p3]);
+                let want = check(&pool, &scratch, Budget::default());
+                let got = session.solve(&path[..p3], flips[p3], Budget::default());
+                assert_eq!(want, got, "salt {salt}, prefixes {p1}/{p2}/{p3}");
+            }
+        }
+    }
+
+    #[test]
+    fn advance_alone_does_no_solver_work() {
+        let mut pool = TermPool::new();
+        let (path, _) = flip_family(&mut pool, 12, 3);
+        let mut session = PrefixSolver::new(&pool);
+        session.advance(&path[..4]);
+        session.advance(&path);
+        assert!(session.started(), "a claimed prefix starts the session");
+        assert_eq!(session.performed_propagations(), 0);
+        assert_eq!(session.forks(), 0);
+    }
+
+    #[test]
+    fn constant_false_prefix_claimed_by_advance_answers_unsat() {
+        let mut pool = TermPool::new();
+        let (mut path, flips) = flip_family(&mut pool, 4, 5);
+        path.insert(2, pool.bool_const(false));
+        let mut session = PrefixSolver::new(&pool);
+        session.advance(&path[..2]);
+        session.advance(&path);
+        let (res, stats) = session.solve(&path, flips[3], Budget::default());
+        assert_eq!(res, SolveResult::Unsat);
+        assert_eq!(stats, SolveStats::default());
+        // Prefixes that stop short of the false item still solve normally.
+        let mut session = PrefixSolver::new(&pool);
+        session.advance(&path[..2]);
+        let mut scratch: Vec<TermId> = path[..2].to_vec();
+        scratch.push(flips[2]);
+        let want = check(&pool, &scratch, Budget::default());
+        assert_eq!(want, session.solve(&path[..2], flips[2], Budget::default()));
     }
 
     #[test]

@@ -16,7 +16,7 @@ use std::collections::HashSet;
 
 use wasai_smt::TermId;
 
-use crate::replay::{CondKind, ReplayOutcome};
+use crate::replay::{flip_key, CondKind, ReplayOutcome};
 
 /// One ready-to-solve flip query: the first `prefix_len` constraints of the
 /// owning [`FlipSet`]'s chain, conjoined with `flipped`.
@@ -36,19 +36,10 @@ pub struct FlipQuery {
 }
 
 impl FlipQuery {
-    /// The coverage key `(func, pc, direction)` this query targets.
-    ///
-    /// Branches use directions 0/1 (the `taken` flag recorded in traces).
-    /// Asserts use 2/3 — their own key space — so an assert flip at a site
-    /// never aliases a branch flip at the same `(func, pc)`: `explored`
-    /// only ever holds branch keys, and an aliased key would silently
-    /// suppress whichever query came second.
+    /// The coverage key `(func, pc, direction)` this query targets
+    /// ([`flip_key`]: asserts live in their own key space, 2/3).
     pub fn target_key(&self) -> (u32, u32, u64) {
-        let dir = match self.kind {
-            CondKind::Branch => self.target_taken as u64,
-            CondKind::Assert => 2 + self.target_taken as u64,
-        };
-        (self.site.0, self.site.1, dir)
+        flip_key(self.site, self.kind, self.target_taken)
     }
 
     /// Materialize the full constraint list against the owning set's

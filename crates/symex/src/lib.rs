@@ -11,7 +11,8 @@
 //! - [`memory`]: the concrete-address memory model (C2, §3.4.1);
 //! - [`inputs`]: calling-convention-based symbolic input construction that
 //!   skips the deserializer (C3, §3.4.2, Table 2);
-//! - [`replay`]: the trace simulator collecting conditional states;
+//! - [`replay`]: the trace simulator collecting conditional states, and the
+//!   open-target scan that decides whether a trace is worth replaying;
 //! - [`flip`]: path-prefix ∧ flipped-condition query assembly (§3.4.4);
 //! - [`seedgen`]: solver models back into parameter vectors ρ⃗.
 
@@ -24,5 +25,8 @@ pub mod seedgen;
 pub use flip::{flip_queries, FlipQuery, FlipSet};
 pub use inputs::{InputSpec, ParamBinding, ParamSpec};
 pub use memory::SymMemory;
-pub use replay::{CondKind, ConditionalState, ReplayOutcome, Replayer};
+pub use replay::{
+    flip_key, has_open_flip_target, AssertImports, CondKind, ConditionalState, ReplayOutcome,
+    Replayer,
+};
 pub use seedgen::{collect_vars, constraint_vars, seed_from_model};

@@ -9,6 +9,11 @@
 //! symbolic input actually flows. Conditional states (`br_if`/`if` and
 //! `eosio_assert`, §3.1) are collected together with the path constraints
 //! needed to flip them (§3.4.4).
+//!
+//! [`has_open_flip_target`] answers, without replaying, whether a trace can
+//! yield any flip target a caller still wants: it walks the same sites with
+//! the same classification ([`AssertImports`] plus one site classifier), so
+//! the engine can skip replays whose every query would be filtered out.
 
 use std::collections::{HashMap, HashSet};
 
@@ -37,6 +42,128 @@ pub enum CondKind {
     Branch,
     /// An `eosio_assert` call that failed (flipping = making it pass).
     Assert,
+}
+
+/// The coverage key `(func, pc, direction)` of flipping the conditional
+/// state at `site` toward `target_taken`.
+///
+/// Branches use directions 0/1 (the `taken` flag recorded in traces).
+/// Asserts use 2/3 — their own key space — so an assert flip at a site
+/// never aliases a branch flip at the same `(func, pc)`: coverage only ever
+/// holds branch keys, and an aliased key would silently suppress whichever
+/// query came second.
+pub fn flip_key(site: (u32, u32), kind: CondKind, target_taken: bool) -> (u32, u32, u64) {
+    let dir = match kind {
+        CondKind::Branch => target_taken as u64,
+        CondKind::Assert => 2 + target_taken as u64,
+    };
+    (site.0, site.1, dir)
+}
+
+/// The `eosio_assert` imports of a module: the calls Symback treats as
+/// conditional states (§3.1). Computed once per target and shared by every
+/// replay and open-target scan of it.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct AssertImports(Vec<u32>);
+
+impl AssertImports {
+    /// Collect the function indices of `module`'s `eosio_assert` imports.
+    pub fn of(module: &Module) -> Self {
+        AssertImports(
+            (0..module.num_imported_funcs())
+                .filter(|&i| {
+                    module
+                        .imported_func(i)
+                        .is_some_and(|imp| imp.name == "eosio_assert")
+                })
+                .collect(),
+        )
+    }
+
+    /// Whether a call to `func` is an `eosio_assert` call.
+    pub fn contains(&self, func: u32) -> bool {
+        self.0.contains(&func)
+    }
+}
+
+/// Which conditional state (§3.1), if any, `instr` can produce. The one
+/// site classification shared by [`Replayer`] and [`has_open_flip_target`].
+fn conditional_kind(instr: &Instr, asserts: &AssertImports) -> Option<CondKind> {
+    match *instr {
+        Instr::If(_) | Instr::BrIf(_) => Some(CondKind::Branch),
+        Instr::Call(callee) if asserts.contains(callee) => Some(CondKind::Assert),
+        _ => None,
+    }
+}
+
+/// The direction a conditional site executed: a branch's logged condition,
+/// or an assert's condition argument, logged by the `CallPre` record that
+/// follows its site.
+fn executed_taken(kind: CondKind, operands: &[TraceVal], call_ops: &[TraceVal]) -> bool {
+    let logged = match kind {
+        CondKind::Branch => operands,
+        CondKind::Assert => call_ops,
+    };
+    logged.first().map_or(0, |v| v.bits()) != 0
+}
+
+/// The duplicated call arguments of the site at `trace[i]`: call
+/// instructions log them into the `CallPre` record that immediately follows
+/// the site.
+fn call_operands(trace: &[TraceRecord], i: usize) -> &[TraceVal] {
+    match trace.get(i + 1) {
+        Some(next) if matches!(next.kind, TraceKind::CallPre { .. }) => &next.operands,
+        _ => &[],
+    }
+}
+
+/// Whether replaying `trace` with symbolic inputs installed at
+/// `action_func` could yield a flip target for which `is_open` holds.
+///
+/// Calls `is_open` with the key ([`flip_key`]) of every candidate in trace
+/// order and stops at the first open one. The candidates are a superset of
+/// the targets of the [`ConditionalState`]s [`Replayer::run`] would return:
+/// the replayer materializes symbolic terms only from the first
+/// `FuncBegin` of `action_func` on, so before it no condition is symbolic,
+/// and from it on every branch site (direction flipped) and every failed
+/// `eosio_assert` call is a candidate. A `false` answer therefore means
+/// every query the replay could produce would be filtered out.
+pub fn has_open_flip_target(
+    module: &Module,
+    asserts: &AssertImports,
+    action_func: u32,
+    trace: &[TraceRecord],
+    mut is_open: impl FnMut((u32, u32, u64)) -> bool,
+) -> bool {
+    let Some(start) = trace
+        .iter()
+        .position(|r| matches!(r.kind, TraceKind::FuncBegin { func } if func == action_func))
+    else {
+        return false;
+    };
+    for (i, record) in trace.iter().enumerate().skip(start) {
+        let TraceKind::Site { func, pc } = record.kind else {
+            continue;
+        };
+        let Some(instr) = module
+            .local_func(func)
+            .and_then(|f| f.body.get(pc as usize))
+        else {
+            continue;
+        };
+        let Some(kind) = conditional_kind(instr, asserts) else {
+            continue;
+        };
+        let taken = executed_taken(kind, &record.operands, call_operands(trace, i));
+        // A passing assert only extends the path; it is no flip target.
+        if kind == CondKind::Assert && taken {
+            continue;
+        }
+        if is_open(flip_key((func, pc), kind, !taken)) {
+            return true;
+        }
+    }
+    false
 }
 
 /// One flip candidate.
@@ -119,7 +246,7 @@ impl SymFrame {
 #[derive(Debug)]
 pub struct Replayer<'m> {
     module: &'m Module,
-    assert_funcs: HashSet<u32>,
+    asserts: &'m AssertImports,
     pool: TermPool,
     mem: SymMemory,
     spec: InputSpec,
@@ -141,26 +268,20 @@ fn width_of(t: ValType) -> u32 {
 
 impl<'m> Replayer<'m> {
     /// Create a replayer for one execution of `module` with symbolic inputs
-    /// installed at `action_func` per the Table 2 layout.
+    /// installed at `action_func` per the Table 2 layout. `asserts` must be
+    /// [`AssertImports::of`] the same module.
     pub fn new(
         module: &'m Module,
+        asserts: &'m AssertImports,
         action_func: u32,
         local_base: u32,
         params: &[(ParamType, ParamValue)],
     ) -> Self {
         let mut pool = TermPool::new();
         let spec = InputSpec::build(&mut pool, action_func, local_base, params);
-        let assert_funcs = (0..module.num_imported_funcs())
-            .filter(|&i| {
-                module
-                    .imported_func(i)
-                    .map(|imp| imp.name == "eosio_assert")
-                    .unwrap_or(false)
-            })
-            .collect();
         Replayer {
             module,
-            assert_funcs,
+            asserts,
             pool,
             mem: SymMemory::new(),
             spec,
@@ -202,15 +323,7 @@ impl<'m> Replayer<'m> {
                 TraceKind::CallPre { .. } => {}
                 TraceKind::CallPost { callee } => self.on_call_post(callee, &record.operands),
                 TraceKind::Site { func, pc } => {
-                    // Call instructions log their duplicated arguments into
-                    // the CallPre record that immediately follows the site.
-                    let call_ops: &[TraceVal] = match trace.get(i + 1) {
-                        Some(next) if matches!(next.kind, TraceKind::CallPre { .. }) => {
-                            &next.operands
-                        }
-                        _ => &[],
-                    };
-                    self.on_site(func, pc, &record.operands, call_ops);
+                    self.on_site(func, pc, &record.operands, call_operands(trace, i));
                 }
             }
         }
@@ -339,6 +452,15 @@ impl<'m> Replayer<'m> {
             }
         }
 
+        // Conditional states (§3.1), classified exactly as the open-target
+        // scan classifies them.
+        let kind = conditional_kind(&instr, self.asserts);
+        let taken = kind.is_some_and(|k| executed_taken(k, operands, call_ops));
+        if kind == Some(CondKind::Branch) {
+            let cond = self.frames.last_mut().expect("non-empty").pop();
+            self.record_branch(func, pc, cond, taken);
+        }
+
         match instr {
             Instr::Block(bt) => {
                 let frame = self.frames.last_mut().expect("non-empty");
@@ -357,9 +479,6 @@ impl<'m> Replayer<'m> {
                 });
             }
             Instr::If(bt) => {
-                let cond = self.frames.last_mut().expect("non-empty").pop();
-                let cond_val = Self::op_u64(operands, 0);
-                self.record_branch(func, pc, cond, cond_val);
                 let frame = self.frames.last_mut().expect("non-empty");
                 frame.labels.push(SymLabel {
                     height: frame.stack.len(),
@@ -382,10 +501,7 @@ impl<'m> Replayer<'m> {
             }
             Instr::Br(l) => self.do_branch_unwind(l),
             Instr::BrIf(l) => {
-                let cond = self.frames.last_mut().expect("non-empty").pop();
-                let cond_val = Self::op_u64(operands, 0);
-                self.record_branch(func, pc, cond, cond_val);
-                if cond_val != 0 {
+                if taken {
                     self.do_branch_unwind(l);
                 }
             }
@@ -406,7 +522,10 @@ impl<'m> Replayer<'m> {
                 // FuncEnd handles result movement.
             }
             Instr::Unreachable | Instr::Nop => {}
-            Instr::Call(callee) => self.on_call(callee, func, pc, call_ops),
+            Instr::Call(callee) => {
+                let assert_passed = (kind == Some(CondKind::Assert)).then_some(taken);
+                self.on_call(callee, assert_passed, (func, pc));
+            }
             Instr::CallIndirect(type_idx) => {
                 let n = self
                     .module
@@ -535,8 +654,7 @@ impl<'m> Replayer<'m> {
         }
     }
 
-    fn record_branch(&mut self, func: u32, pc: u32, cond: Option<TermId>, cond_val: u64) {
-        let taken = cond_val != 0;
+    fn record_branch(&mut self, func: u32, pc: u32, cond: Option<TermId>, taken: bool) {
         self.branches.insert((func, pc, taken as u64));
         if let Some(t) = cond {
             let zero = self.pool.bv_const(0, 32);
@@ -558,7 +676,8 @@ impl<'m> Replayer<'m> {
         }
     }
 
-    fn on_call(&mut self, callee: u32, site_func: u32, site_pc: u32, call_ops: &[TraceVal]) {
+    /// `assert_passed` is `Some(passed)` when `callee` is `eosio_assert`.
+    fn on_call(&mut self, callee: u32, assert_passed: Option<bool>, site: (u32, u32)) {
         let n = self
             .module
             .func_type(callee)
@@ -573,18 +692,17 @@ impl<'m> Replayer<'m> {
         }
         // eosio_assert: a conditional state (§3.1). A failing assert's flip
         // constraint demands the condition hold (§3.4.4).
-        if self.assert_funcs.contains(&callee) {
+        if let Some(passed) = assert_passed {
             let cond = args.first().copied().flatten();
-            let cond_val = Self::op_u64(call_ops, 0);
             if let Some(t) = cond {
                 let zero = self.pool.bv_const(0, 32);
-                if cond_val != 0 {
+                if passed {
                     let as_exec = self.pool.ne(t, zero);
                     self.push_path(as_exec);
                 } else if self.conditionals.len() < MAX_CONDITIONALS {
                     let flipped = self.pool.ne(t, zero);
                     self.conditionals.push(ConditionalState {
-                        site: (site_func, site_pc),
+                        site,
                         taken: false,
                         kind: CondKind::Assert,
                         flipped,

@@ -6,7 +6,10 @@ use std::collections::HashSet;
 use wasai_chain::abi::{ParamType, ParamValue};
 use wasai_chain::asset::Asset;
 use wasai_smt::{check, Budget, SolveResult};
-use wasai_symex::{constraint_vars, flip_queries, seed_from_model, CondKind, Replayer};
+use wasai_symex::{
+    constraint_vars, flip_key, flip_queries, has_open_flip_target, seed_from_model, AssertImports,
+    CondKind, Replayer,
+};
 use wasai_vm::{
     CompiledModule, Fuel, Host, HostFnId, Instance, LinearMemory, TraceRecord, TraceSink, Trap,
     Value,
@@ -62,6 +65,36 @@ fn trace_of(module: &wasai_wasm::Module, export: &str, args: &[Value]) -> Vec<Tr
     host.sink.take()
 }
 
+/// Soundness of the open-target scan on one trace: the target key of every
+/// conditional state the replay records is among the candidates the scan
+/// reports, and with every key open the scan answers `true` exactly when it
+/// has a candidate. Returns (conditional states, candidates).
+fn assert_scan_covers_replay(
+    module: &wasai_wasm::Module,
+    action: u32,
+    params: &[(ParamType, ParamValue)],
+    trace: &[TraceRecord],
+) -> (usize, usize) {
+    let asserts = AssertImports::of(module);
+    let outcome = Replayer::new(module, &asserts, action, 1, params).run(trace);
+    let mut candidates = HashSet::new();
+    let found = has_open_flip_target(module, &asserts, action, trace, |key| {
+        candidates.insert(key);
+        false
+    });
+    assert!(!found, "a scan with every key closed finds nothing open");
+    for cond in &outcome.conditionals {
+        let key = flip_key(cond.site, cond.kind, !cond.taken);
+        assert!(
+            candidates.contains(&key),
+            "replay recorded {cond:?} (key {key:?}) but the scan never reported it"
+        );
+    }
+    let any_open = has_open_flip_target(module, &asserts, action, trace, |_| true);
+    assert_eq!(any_open, !candidates.is_empty());
+    (outcome.conditionals.len(), candidates.len())
+}
+
 fn apply_args() -> [Value; 3] {
     [Value::I64(1), Value::I64(1), Value::I64(1)]
 }
@@ -111,8 +144,13 @@ fn replay_collects_branch_and_flip_solves_it() {
     assert!(!trace.is_empty());
 
     let params = vec![(ParamType::U64, ParamValue::U64(7))];
-    let replayer = Replayer::new(&module, action, 1, &params);
+    let asserts = AssertImports::of(&module);
+    let replayer = Replayer::new(&module, &asserts, action, 1, &params);
     let outcome = replayer.run(&trace);
+    assert_eq!(
+        assert_scan_covers_replay(&module, action, &params, &trace),
+        (1, 1)
+    );
 
     // One conditional state: the `if` on x == 0xdeadbeef, not taken.
     assert_eq!(
@@ -152,7 +190,9 @@ fn adaptive_seed_actually_flips_the_branch() {
 
     let trace = trace_of(&patched, "apply", &apply_args());
     let params = vec![(ParamType::U64, ParamValue::U64(0xdeadbeef))];
-    let outcome = Replayer::new(&patched, action, 1, &params).run(&trace);
+    let outcome =
+        Replayer::new(&patched, &AssertImports::of(&patched), action, 1, &params).run(&trace);
+    assert_scan_covers_replay(&patched, action, &params, &trace);
     assert!(outcome.conditionals[0].taken, "branch should now be taken");
 }
 
@@ -161,7 +201,9 @@ fn branch_coverage_accumulates_distinct_directions() {
     let (module, action) = branchy_contract();
     let trace = trace_of(&module, "apply", &apply_args());
     let params = vec![(ParamType::U64, ParamValue::U64(7))];
-    let outcome = Replayer::new(&module, action, 1, &params).run(&trace);
+    let outcome =
+        Replayer::new(&module, &AssertImports::of(&module), action, 1, &params).run(&trace);
+    assert_scan_covers_replay(&module, action, &params, &trace);
     // The if at (action, pc 3), direction false.
     assert!(outcome.branches.contains(&(action, 3, 0)));
     assert!(!outcome.branches.contains(&(action, 3, 1)));
@@ -203,7 +245,9 @@ fn failing_assert_yields_satisfiable_flip() {
 
     let trace = trace_of(&module, "apply", &apply_args());
     let params = vec![(ParamType::U64, ParamValue::U64(7))];
-    let outcome = Replayer::new(&module, action, 1, &params).run(&trace);
+    let outcome =
+        Replayer::new(&module, &AssertImports::of(&module), action, 1, &params).run(&trace);
+    assert_scan_covers_replay(&module, action, &params, &trace);
     let asserts: Vec<_> = outcome
         .conditionals
         .iter()
@@ -280,7 +324,9 @@ fn asset_pointer_parameter_flows_through_memory() {
         ParamType::Asset,
         ParamValue::Asset(Asset::new(77, wasai_chain::asset::eos_symbol())),
     )];
-    let outcome = Replayer::new(&module, action, 1, &params).run(&trace);
+    let outcome =
+        Replayer::new(&module, &AssertImports::of(&module), action, 1, &params).run(&trace);
+    assert_scan_covers_replay(&module, action, &params, &trace);
     assert_eq!(
         outcome.conditionals.len(),
         1,
@@ -346,7 +392,9 @@ fn nested_branches_build_path_constraints() {
 
     let trace = trace_of(&module, "apply", &apply_args());
     let params = vec![(ParamType::I64, ParamValue::I64(5))];
-    let outcome = Replayer::new(&module, action, 1, &params).run(&trace);
+    let outcome =
+        Replayer::new(&module, &AssertImports::of(&module), action, 1, &params).run(&trace);
+    assert_scan_covers_replay(&module, action, &params, &trace);
     assert_eq!(outcome.conditionals.len(), 1, "only outer branch executed");
     let set = flip_queries(&outcome, &HashSet::new());
     let constraints = set.constraints_of(&set.queries[0]);
@@ -365,7 +413,9 @@ fn explored_directions_are_not_requeried() {
     let (module, action) = branchy_contract();
     let trace = trace_of(&module, "apply", &apply_args());
     let params = vec![(ParamType::U64, ParamValue::U64(7))];
-    let outcome = Replayer::new(&module, action, 1, &params).run(&trace);
+    let outcome =
+        Replayer::new(&module, &AssertImports::of(&module), action, 1, &params).run(&trace);
+    assert_scan_covers_replay(&module, action, &params, &trace);
     let mut explored = HashSet::new();
     explored.insert((action, 3u32, 1u64)); // other direction already seen
     assert!(flip_queries(&outcome, &explored).queries.is_empty());
@@ -419,7 +469,9 @@ fn loops_replay_without_desync() {
 
     let trace = trace_of(&module, "apply", &apply_args());
     let params = vec![(ParamType::U64, ParamValue::U64(2))];
-    let outcome = Replayer::new(&module, action, 1, &params).run(&trace);
+    let outcome =
+        Replayer::new(&module, &AssertImports::of(&module), action, 1, &params).run(&trace);
+    assert_scan_covers_replay(&module, action, &params, &trace);
     // The loop exit br_if ran 3 times (n=2) plus the final == 3 check.
     let final_if = outcome.conditionals.last().unwrap();
     assert!(!final_if.taken);
@@ -442,4 +494,143 @@ fn loops_replay_without_desync() {
     let vars = constraint_vars(&outcome.pool, &c0);
     let seed = seed_from_model(&outcome.spec, &outcome.pool, m, &vars);
     assert_eq!(seed, vec![ParamValue::U64(0)]);
+}
+
+#[test]
+fn open_target_scan_follows_symbolic_arguments_into_callees() {
+    // apply branches on a concrete value before entering the action;
+    // action(self, x) passes x to check(x): if (x == 5) …. The only
+    // conditional state sits in the callee, and the scan must report it.
+    let mut b = ModuleBuilder::with_memory(1);
+    let check = b.func(
+        &[I64],
+        &[],
+        &[],
+        vec![
+            Instr::LocalGet(0),
+            Instr::I64Const(5),
+            Instr::I64Eq,
+            Instr::If(BlockType::Empty),
+            Instr::Nop,
+            Instr::End,
+            Instr::End,
+        ],
+    );
+    let action = b.func(
+        &[I64, I64],
+        &[],
+        &[],
+        vec![Instr::LocalGet(1), Instr::Call(check), Instr::End],
+    );
+    let apply = b.func(
+        &[I64, I64, I64],
+        &[],
+        &[],
+        vec![
+            Instr::LocalGet(0),
+            Instr::I64Eqz,
+            Instr::If(BlockType::Empty),
+            Instr::Nop,
+            Instr::End,
+            Instr::LocalGet(0),
+            Instr::I64Const(7),
+            Instr::Call(action),
+            Instr::End,
+        ],
+    );
+    b.export_func("apply", apply);
+    let module = b.build();
+
+    let trace = trace_of(&module, "apply", &apply_args());
+    let params = vec![(ParamType::U64, ParamValue::U64(7))];
+    assert_eq!(
+        assert_scan_covers_replay(&module, action, &params, &trace),
+        (1, 1)
+    );
+}
+
+#[test]
+fn open_target_scan_reports_nothing_for_a_trace_that_never_enters_the_action() {
+    // With x = 7 the `if` calls `miss`, never `hit`: installing the inputs
+    // at `hit` leaves every replayed value concrete.
+    let (module, _) = branchy_contract();
+    let hit = 0;
+    let trace = trace_of(&module, "apply", &apply_args());
+    assert!(!trace
+        .iter()
+        .any(|r| matches!(r.kind, wasai_vm::TraceKind::FuncBegin { func } if func == hit)));
+    let params = vec![(ParamType::U64, ParamValue::U64(7))];
+    assert_eq!(
+        assert_scan_covers_replay(&module, hit, &params, &trace),
+        (0, 0)
+    );
+}
+
+#[test]
+fn open_target_scan_covers_wild_corpus_replays() {
+    // Drive wild contracts through the engine's harness (the official
+    // transfer notification plus every declared action, random arguments)
+    // and check the scan against the replay at the located action
+    // function, and at every other function the trace enters.
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+    use wasai_chain::name::Name;
+    use wasai_core::harness::{self, accounts};
+    use wasai_core::{PreparedTarget, TargetInfo};
+    use wasai_corpus::{wild_corpus, WildRates};
+
+    let mut rng = StdRng::seed_from_u64(13);
+    let (mut conditionals, mut traces) = (0, 0);
+    for contract in wild_corpus(21, 8, WildRates::default()) {
+        let module = contract.deployed.module;
+        let abi = contract.deployed.abi;
+        let prepared = PreparedTarget::prepare(TargetInfo {
+            original: module.clone(),
+            abi: abi.clone(),
+        })
+        .expect("wild contracts prepare");
+        for decl in &abi.actions {
+            for _ in 0..3 {
+                let seed = wasai_core::seed::random_seed(&mut rng, decl, accounts::target());
+                let (tx, params) = if decl.name == Name::new("transfer") {
+                    let p = harness::forced_transfer_params(
+                        &seed.params,
+                        accounts::attacker(),
+                        accounts::target(),
+                    );
+                    (harness::official_transfer(&p), p)
+                } else {
+                    (harness::direct_action(decl.name, &seed.params), seed.params)
+                };
+                let mut chain = prepared.fork_chain().expect("fork");
+                let trace = match chain.push_transaction(&tx) {
+                    Ok(r) => r.trace,
+                    Err(e) => e.receipt.trace,
+                };
+                let Some(action) = harness::locate_action_function(&module, &trace) else {
+                    continue;
+                };
+                let pairs: Vec<_> = decl.params.iter().copied().zip(params).collect();
+                traces += 1;
+                conditionals += assert_scan_covers_replay(&module, action, &pairs, &trace).0;
+                let mut entered: Vec<u32> = trace
+                    .iter()
+                    .filter_map(|r| match r.kind {
+                        wasai_vm::TraceKind::FuncBegin { func } => Some(func),
+                        _ => None,
+                    })
+                    .collect();
+                entered.sort_unstable();
+                entered.dedup();
+                for func in entered {
+                    assert_scan_covers_replay(&module, func, &pairs, &trace);
+                }
+            }
+        }
+    }
+    assert!(
+        traces >= 20,
+        "only {traces} traces reached an action function"
+    );
+    assert!(conditionals > 0, "no trace produced a conditional state");
 }
