@@ -3,8 +3,9 @@
 //! campaigns, so the measurement includes the `PreparedTarget` cache and the
 //! slot-vector merge, not just queue overhead.
 //!
-//! `BENCH_fleet.json` records the measured speedups on the full-size
-//! workloads (rq4_wild at 24 contracts, table4_accuracy).
+//! This is a scheduler microbench. The end-to-end throughput ledger is
+//! `e2e_bench` (declared in `BENCHMARK.json`): campaigns/s and per-layer
+//! wall shares over fixed EOSIO and CosmWasm sweeps.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 

@@ -54,6 +54,8 @@ use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
+use wasai_obs::durable::{self, Fnv};
+
 use crate::telemetry::{json_escape, parse_json_fields};
 
 /// Journal format version; bumped on any incompatible change.
@@ -62,34 +64,6 @@ use crate::telemetry::{json_escape, parse_json_fields};
 /// `smt_queries`, `exec_us`, `solve_us`) feeding the audit timelines and
 /// the `--profile-out` folded stacks.
 pub const JOURNAL_VERSION: u64 = 2;
-
-/// 64-bit FNV-1a, the repo's standard tiny content digest.
-#[derive(Debug, Clone, Copy)]
-struct Fnv(u64);
-
-impl Fnv {
-    const fn new() -> Fnv {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x100_0000_01b3);
-        }
-    }
-
-    /// Feed one field plus a separator byte, so adjacent fields can never
-    /// alias ("ab"+"c" vs "a"+"bc").
-    fn field(&mut self, bytes: &[u8]) {
-        self.write(bytes);
-        self.write(&[0x1f]);
-    }
-
-    fn finish(self) -> u64 {
-        self.0
-    }
-}
 
 /// Digest over the sorted contract names — the journal's corpus identity.
 pub fn corpus_digest(names: &[String]) -> u64 {
@@ -329,15 +303,7 @@ impl Journal {
     /// tmp+rename (fsync'd file and directory), so the journal exists
     /// atomically or not at all. An existing file at `path` is replaced.
     pub fn create(path: &Path, meta: &JournalMeta) -> io::Result<Journal> {
-        let tmp = tmp_sibling(path);
-        {
-            let mut f = File::create(&tmp)?;
-            f.write_all(meta.header_line().as_bytes())?;
-            f.write_all(b"\n")?;
-            f.sync_all()?;
-        }
-        std::fs::rename(&tmp, path)?;
-        sync_parent_dir(path);
+        durable::write_atomic(path, format!("{}\n", meta.header_line()).as_bytes())?;
         let file = OpenOptions::new().append(true).open(path)?;
         Ok(Journal {
             file,
@@ -469,28 +435,6 @@ impl Journal {
     /// The journal's path.
     pub fn path(&self) -> &Path {
         &self.path
-    }
-}
-
-fn tmp_sibling(path: &Path) -> PathBuf {
-    let mut name = path.file_name().unwrap_or_default().to_os_string();
-    name.push(".tmp");
-    path.with_file_name(name)
-}
-
-/// Best-effort fsync of `path`'s parent directory, making the rename
-/// durable. Failure is ignored: some filesystems refuse directory fsync,
-/// and the record-level fsyncs still bound the loss to the header.
-fn sync_parent_dir(path: &Path) {
-    if let Some(parent) = path.parent() {
-        let dir = if parent.as_os_str().is_empty() {
-            Path::new(".")
-        } else {
-            parent
-        };
-        if let Ok(d) = File::open(dir) {
-            let _ = d.sync_all();
-        }
     }
 }
 

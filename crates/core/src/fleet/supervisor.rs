@@ -13,7 +13,7 @@
 //! {"v":2,"index":3,…,"digest":"…"}        one OutcomeRecord per campaign
 //! {"type":"hb","slot":0,"campaign":3,"ticks":412,"stage":"solve"}
 //! {"type":"stats","seeds":15023}
-//! {"type":"metrics","v":2,"counters":"…","gauges":"…","hists":"…","digest":"…"}
+//! {"type":"metrics","v":3,"counters":"…","gauges":"…","hists":"…","digest":"…"}
 //! {"type":"done"}
 //! ```
 //!

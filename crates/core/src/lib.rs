@@ -47,7 +47,7 @@ pub use fleet::{
     run_jobs_timed, CampaignOutcome, CampaignRun, FleetStats,
 };
 pub use harness::{PreparedTarget, TargetInfo};
-pub use obs_bridge::{MirrorSink, MonitorHandle, MonitorReport, ProgressMonitor};
+pub use obs_bridge::{MonitorHandle, MonitorReport, ProgressMonitor};
 pub use oracle::{ApiUsageOracle, CustomOracle};
 pub use report::{ExploitRecord, FuzzReport, VulnClass};
 pub use scanner::{PayloadKind, Scanner};

@@ -1,15 +1,8 @@
 //! Bridges between the virtual-clock telemetry layer (PR 3) and the
 //! wall-clock observability registry (`wasai-obs`).
 //!
-//! Three pieces live here:
+//! Two pieces live here:
 //!
-//! - [`MirrorSink`]: a [`TelemetrySink`] decorator that counts the event
-//!   stream into obs counters, so the deterministic vtime telemetry and the
-//!   wall-clock metrics can be cross-checked (after a run, event counts and
-//!   counter values must agree exactly — unit-tested below). It is an
-//!   opt-in diagnostic: the CLI does *not* attach it by default, because
-//!   the engine/fleet hot paths already write the same counters directly
-//!   and mirroring them twice would double-count.
 //! - [`ProgressMonitor`]: the live `audit-dir` progress view — samples the
 //!   global registry and heartbeat table, renders a one-line status to
 //!   stderr, and flags stalled campaigns (no heartbeat tick for N
@@ -31,71 +24,9 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use wasai_obs as obs;
-use wasai_obs::{Counter, Gauge, Registry, StallReport};
+use wasai_obs::{Counter, Gauge, StallReport};
 
-use crate::telemetry::{Metrics, SmtOutcome, TelemetryEvent, TelemetrySink};
-
-/// A [`TelemetrySink`] decorator that mirrors the event stream into obs
-/// counters on a caller-chosen registry (tests use a private one), then
-/// forwards each event to the inner sink unchanged.
-#[derive(Debug)]
-pub struct MirrorSink<S> {
-    inner: S,
-    registry: &'static Registry,
-}
-
-impl<S: TelemetrySink> MirrorSink<S> {
-    /// Mirror events into `registry`, forwarding to `inner`.
-    pub fn new(inner: S, registry: &'static Registry) -> MirrorSink<S> {
-        MirrorSink { inner, registry }
-    }
-
-    /// The wrapped sink, back.
-    pub fn into_inner(self) -> S {
-        self.inner
-    }
-}
-
-impl<S: TelemetrySink> TelemetrySink for MirrorSink<S> {
-    fn record(&mut self, event: TelemetryEvent) {
-        let reg = self.registry;
-        match &event {
-            TelemetryEvent::CampaignStarted { .. }
-            | TelemetryEvent::StageTiming { .. }
-            | TelemetryEvent::OracleVerdict { .. } => {}
-            TelemetryEvent::SeedExecuted { coverage_delta, .. } => {
-                reg.inc(Counter::SeedsExecuted);
-                reg.add(Counter::CoverageBranches, *coverage_delta as u64);
-            }
-            TelemetryEvent::Replayed { .. } => reg.inc(Counter::Replays),
-            TelemetryEvent::SmtQuery {
-                outcome,
-                props,
-                cache_hit,
-                ..
-            } => {
-                reg.inc(match outcome {
-                    SmtOutcome::Sat => Counter::SmtSat,
-                    SmtOutcome::Unsat => Counter::SmtUnsat,
-                    SmtOutcome::Unknown => Counter::SmtUnknown,
-                });
-                reg.add(Counter::SmtPropagations, *props);
-                if *cache_hit {
-                    reg.inc(Counter::CacheHitsCampaign);
-                }
-            }
-            TelemetryEvent::ConstraintFlipped { .. } => reg.inc(Counter::Flips),
-            TelemetryEvent::CampaignFinished { .. } => reg.inc(Counter::CampaignsOk),
-            TelemetryEvent::CampaignAborted { outcome, .. } => reg.inc(match outcome.as_str() {
-                "panicked" => Counter::CampaignsPanicked,
-                "timed-out" => Counter::CampaignsTimedOut,
-                "crashed" => Counter::CampaignsCrashed,
-                _ => Counter::CampaignsFailed,
-            }),
-        }
-        self.inner.record(event);
-    }
-}
+use crate::telemetry::Metrics;
 
 /// A point-in-time progress reading, computed from registry + heartbeats.
 /// This is what the monitor renders; tests consume it directly.
@@ -407,123 +338,7 @@ pub fn metrics_json(m: &Metrics) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::telemetry::{parse_json_fields, Recorder, Stage};
-
-    fn leaked_registry() -> &'static Registry {
-        let r = Box::leak(Box::new(Registry::new()));
-        r.enable();
-        r
-    }
-
-    /// The MirrorSink cross-check: after a run, event counts in the
-    /// recorded trace equal the mirrored counter values exactly.
-    #[test]
-    fn mirrored_counters_equal_event_counts() {
-        let reg = leaked_registry();
-        let mut sink = MirrorSink::new(Recorder::new(), reg);
-
-        sink.record(TelemetryEvent::CampaignStarted {
-            seed: 1,
-            actions: 2,
-            vtime: 0,
-        });
-        for i in 0..5u64 {
-            sink.record(TelemetryEvent::SeedExecuted {
-                action: "transfer".into(),
-                payload: "official".into(),
-                coverage_delta: 2,
-                branches: (2 * (i + 1)) as usize,
-                vtime: i,
-            });
-        }
-        for _ in 0..3 {
-            sink.record(TelemetryEvent::Replayed {
-                records: 10,
-                conditionals: 4,
-                truncated: false,
-                vtime: 9,
-            });
-        }
-        for (outcome, cache_hit) in [
-            (SmtOutcome::Sat, false),
-            (SmtOutcome::Sat, true),
-            (SmtOutcome::Unsat, false),
-            (SmtOutcome::Unknown, false),
-        ] {
-            sink.record(TelemetryEvent::SmtQuery {
-                outcome,
-                conflicts: 1,
-                props: 7,
-                cache_hit,
-                incremental: false,
-                vtime: 10,
-            });
-        }
-        sink.record(TelemetryEvent::ConstraintFlipped {
-            func: 3,
-            pc: 14,
-            direction: 1,
-            vtime: 11,
-        });
-        sink.record(TelemetryEvent::CampaignFinished {
-            iterations: 6,
-            branches: 10,
-            truncated: false,
-            vtime: 12,
-        });
-        sink.record(TelemetryEvent::CampaignAborted {
-            campaign: 7,
-            stage: "solve".into(),
-            outcome: "timed-out".into(),
-            vtime: 0,
-        });
-
-        // Counters mirror the event stream exactly.
-        assert_eq!(reg.counter(Counter::SeedsExecuted), 5);
-        assert_eq!(reg.counter(Counter::CoverageBranches), 10);
-        assert_eq!(reg.counter(Counter::Replays), 3);
-        assert_eq!(reg.counter(Counter::SmtSat), 2);
-        assert_eq!(reg.counter(Counter::SmtUnsat), 1);
-        assert_eq!(reg.counter(Counter::SmtUnknown), 1);
-        assert_eq!(reg.counter(Counter::SmtPropagations), 28);
-        assert_eq!(reg.counter(Counter::CacheHitsCampaign), 1);
-        assert_eq!(reg.counter(Counter::Flips), 1);
-        assert_eq!(reg.counter(Counter::CampaignsOk), 1);
-        assert_eq!(reg.counter(Counter::CampaignsTimedOut), 1);
-
-        // And the decorated sink recorded every event unchanged.
-        let events = sink.into_inner().take();
-        assert_eq!(events.len(), 16);
-
-        // Cross-check against the PR 3 aggregator over the same stream.
-        let mut metrics = Metrics::new();
-        for ev in &events {
-            metrics.observe(ev);
-        }
-        assert_eq!(metrics.seeds, reg.counter(Counter::SeedsExecuted));
-        assert_eq!(
-            metrics.coverage_gained,
-            reg.counter(Counter::CoverageBranches)
-        );
-        assert_eq!(metrics.replays, reg.counter(Counter::Replays));
-        assert_eq!(metrics.smt_sat, reg.counter(Counter::SmtSat));
-        assert_eq!(metrics.flips, reg.counter(Counter::Flips));
-    }
-
-    #[test]
-    fn mirror_forwards_stage_timing_without_counting() {
-        let reg = leaked_registry();
-        let mut sink = MirrorSink::new(Recorder::new(), reg);
-        sink.record(TelemetryEvent::StageTiming {
-            stage: Stage::Execute,
-            dur_us: 100,
-            vtime: 100,
-        });
-        for c in Counter::ALL {
-            assert_eq!(reg.counter(*c), 0, "{:?} must stay 0", c);
-        }
-        assert_eq!(sink.into_inner().take().len(), 1);
-    }
+    use crate::telemetry::parse_json_fields;
 
     #[test]
     fn metrics_json_uses_prometheus_series_names() {

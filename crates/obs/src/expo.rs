@@ -481,6 +481,8 @@ mod tests {
 
     #[test]
     fn bucket_bounds_render_as_seconds() {
+        assert_eq!(le_seconds(10), "0.00001");
+        assert_eq!(le_seconds(30), "0.00003");
         assert_eq!(le_seconds(100), "0.0001");
         assert_eq!(le_seconds(1_000), "0.001");
         assert_eq!(le_seconds(1_000_000), "1");

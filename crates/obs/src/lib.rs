@@ -7,6 +7,9 @@
 //! served over a tiny self-contained HTTP listener
 //! ([`http::MetricsServer`]); and a heartbeat-based stall detector
 //! ([`heartbeat::HeartbeatTable`]) feeding the live progress monitor.
+//! It also holds the workspace's one content digest and one crash-safe
+//! file write ([`durable`]), shared by the journal, the solver-cache file
+//! and the snapshot frame.
 //!
 //! ## The determinism boundary
 //!
@@ -30,6 +33,7 @@
 #![warn(clippy::unwrap_used)]
 #![cfg_attr(test, allow(clippy::unwrap_used))]
 
+pub mod durable;
 pub mod expo;
 pub mod heartbeat;
 pub mod http;

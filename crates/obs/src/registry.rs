@@ -126,14 +126,6 @@ metric_enum! {
         CacheStoreDropped,
         /// `wasai_smt_prefix_forks_total`
         PrefixForks,
-        /// `wasai_smt_portfolio_races_total`
-        PortfolioRaces,
-        /// `wasai_smt_portfolio_salvaged_total{outcome="sat"}`
-        PortfolioSalvagedSat,
-        /// `wasai_smt_portfolio_salvaged_total{outcome="unsat"}`
-        PortfolioSalvagedUnsat,
-        /// `wasai_smt_portfolio_disagreements_total`
-        PortfolioDisagreements,
         /// `wasai_vm_instructions_total`
         VmInstructions,
         /// `wasai_vm_tape_compiles_total`
@@ -179,11 +171,6 @@ impl Counter {
             Counter::CacheHitsCampaign | Counter::CacheHitsFleet => "wasai_smt_cache_hits_total",
             Counter::CacheStoreDropped => "wasai_smt_cache_store_dropped_total",
             Counter::PrefixForks => "wasai_smt_prefix_forks_total",
-            Counter::PortfolioRaces => "wasai_smt_portfolio_races_total",
-            Counter::PortfolioSalvagedSat | Counter::PortfolioSalvagedUnsat => {
-                "wasai_smt_portfolio_salvaged_total"
-            }
-            Counter::PortfolioDisagreements => "wasai_smt_portfolio_disagreements_total",
             Counter::VmInstructions => "wasai_vm_instructions_total",
             Counter::VmTapeCompiles => "wasai_vm_tape_compiles_total",
             Counter::VmSnapshotRestores => "wasai_vm_snapshot_restores_total",
@@ -208,8 +195,6 @@ impl Counter {
                 Some(("level", "campaign"))
             }
             Counter::CacheLookupsFleet | Counter::CacheHitsFleet => Some(("level", "fleet")),
-            Counter::PortfolioSalvagedSat => Some(("outcome", "sat")),
-            Counter::PortfolioSalvagedUnsat => Some(("outcome", "unsat")),
             _ => None,
         }
     }
@@ -258,18 +243,6 @@ impl Counter {
                 "Fleet query-cache entries lost to the capacity cap (refused or evicted)."
             }
             Counter::PrefixForks => "Queries answered by forking a shared-prefix SAT instance.",
-            Counter::PortfolioRaces => {
-                "Hard queries re-raced across portfolio CDCL configurations."
-            }
-            Counter::PortfolioSalvagedSat | Counter::PortfolioSalvagedUnsat => {
-                "Portfolio races where a variant solved a query the reference \
-                 configuration gave up on, by the variant's verdict (diagnostic \
-                 only: the reported result stays the reference's)."
-            }
-            Counter::PortfolioDisagreements => {
-                "Portfolio races where a variant contradicted the reference's \
-                 definitive verdict (a soundness alarm)."
-            }
             Counter::VmInstructions => "Wasm instructions interpreted by the VM.",
             Counter::VmTapeCompiles => "Modules lowered to threaded-code tapes by the fast path.",
             Counter::VmSnapshotRestores => {
@@ -379,7 +352,9 @@ impl Histogram {
 
 /// Upper bounds of the histogram buckets, in microseconds. The final
 /// implicit bucket is `+Inf`.
-pub const BUCKET_BOUNDS_US: [u64; 8] = [
+pub const BUCKET_BOUNDS_US: [u64; 10] = [
+    10,         // 10 µs
+    30,         // 30 µs
     100,        // 100 µs
     1_000,      // 1 ms
     10_000,     // 10 ms
@@ -674,9 +649,15 @@ mod tests {
         r.observe_us(Histogram::SolveWallSeconds, 2_000_000); // ≤ 5s bucket
         r.observe_us(Histogram::SolveWallSeconds, u64::MAX); // +Inf bucket
         let h = r.histogram(Histogram::SolveWallSeconds);
+        let bucket = |bound_us: u64| {
+            BUCKET_BOUNDS_US
+                .iter()
+                .position(|&b| b == bound_us)
+                .unwrap()
+        };
         assert_eq!(h.count, 3);
-        assert_eq!(h.buckets[0], 1);
-        assert_eq!(h.buckets[5], 1);
+        assert_eq!(h.buckets[bucket(100)], 1);
+        assert_eq!(h.buckets[bucket(5_000_000)], 1);
         assert_eq!(h.buckets[NUM_BUCKETS - 1], 1);
         let cum = h.cumulative();
         assert_eq!(cum[NUM_BUCKETS - 1], h.count);

@@ -92,7 +92,9 @@ mod tests {
     fn future_deadline_is_live() {
         let d = Deadline::after(Duration::from_secs(3600));
         assert!(!d.expired());
-        assert!(d.remaining().unwrap() > Duration::from_secs(3500));
+        assert!(
+            d.remaining().expect("a set deadline has a remaining time") > Duration::from_secs(3500)
+        );
     }
 
     #[test]

@@ -11,11 +11,9 @@
 //! wall-clock time.
 //!
 //! Durability discipline mirrors the fleet journal
-//! (`wasai-core`'s `fleet/journal.rs`), which cannot be imported here
-//! (`wasai-core` depends on this crate), so the small pieces — FNV-1a
-//! digests with field separators, tmp+fsync+rename creation, torn-tail
-//! tolerance, fail-fast on interior corruption — are reimplemented in the
-//! same shape:
+//! (`wasai-core`'s `fleet/journal.rs`): both use the FNV-1a field digest
+//! and the tmp+fsync+rename write of [`wasai_obs::durable`], tolerate a
+//! torn tail and fail fast on interior corruption:
 //!
 //! - **Header** pins the file format version *and* the canonical key
 //!   encoding version ([`crate::canon::CANON_VERSION`]): keys written under
@@ -37,9 +35,10 @@
 //! function of the entries ever stored — byte-identical at any worker
 //! count or process split.
 
-use std::fs::{self, File};
-use std::io::Write;
-use std::path::{Path, PathBuf};
+use std::fs;
+use std::path::Path;
+
+use wasai_obs::durable::{self, Fnv};
 
 use crate::cache::{CachedOutcome, CachedQuery, SolverCache};
 use crate::canon::{QueryKey, CANON_VERSION};
@@ -49,35 +48,6 @@ use crate::solver::SolveStats;
 /// format; the header also pins [`CANON_VERSION`] separately so either kind
 /// of drift invalidates old files.
 pub const CACHE_FORMAT_VERSION: u64 = 1;
-
-/// FNV-1a, the digest the journal uses: tiny, dependency-free, and
-/// mismatch detection is against torn writes and fat-fingered edits, not
-/// adversaries.
-struct Fnv(u64);
-
-impl Fnv {
-    const fn new() -> Fnv {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x100_0000_01b3);
-        }
-    }
-
-    /// Feed one field plus a separator byte, so adjacent fields can never
-    /// alias ("ab"+"c" vs "a"+"bc").
-    fn field(&mut self, bytes: &[u8]) {
-        self.write(bytes);
-        self.write(&[0x1f]);
-    }
-
-    fn finish(self) -> u64 {
-        self.0
-    }
-}
 
 fn hex(bytes: &[u8]) -> String {
     let mut out = String::with_capacity(bytes.len() * 2);
@@ -185,52 +155,19 @@ fn parse_record(line: &str) -> Result<(QueryKey, CachedQuery), String> {
     Ok((key, CachedQuery { outcome, stats }))
 }
 
-fn tmp_sibling(path: &Path) -> PathBuf {
-    let mut name = path.file_name().unwrap_or_default().to_os_string();
-    name.push(".tmp");
-    path.with_file_name(name)
-}
-
-/// Best-effort fsync of `path`'s parent directory, making the rename
-/// durable. Failure is ignored: some filesystems refuse directory fsync,
-/// and the worst case is losing the whole (reproducible) cache file.
-fn sync_parent_dir(path: &Path) {
-    if let Some(parent) = path.parent() {
-        let dir = if parent.as_os_str().is_empty() {
-            Path::new(".")
-        } else {
-            parent
-        };
-        if let Ok(d) = File::open(dir) {
-            let _ = d.sync_all();
-        }
-    }
-}
-
 /// Serialize `cache` to `path` atomically (tmp sibling + fsync + rename +
 /// parent fsync). Returns the number of records written.
 pub fn save(path: &Path, cache: &SolverCache) -> Result<usize, String> {
     let entries = cache.snapshot();
-    let tmp = tmp_sibling(path);
-    let write = || -> std::io::Result<()> {
-        let mut f = File::create(&tmp)?;
-        let mut buf = String::with_capacity(64 * (entries.len() + 1));
-        buf.push_str(&header());
+    let mut buf = String::with_capacity(64 * (entries.len() + 1));
+    buf.push_str(&header());
+    buf.push('\n');
+    for (key, q) in &entries {
+        buf.push_str(&render_record(key, q));
         buf.push('\n');
-        for (key, q) in &entries {
-            buf.push_str(&render_record(key, q));
-            buf.push('\n');
-        }
-        f.write_all(buf.as_bytes())?;
-        f.sync_all()?;
-        fs::rename(&tmp, path)?;
-        Ok(())
-    };
-    if let Err(e) = write() {
-        let _ = fs::remove_file(&tmp);
-        return Err(format!("solver cache {}: {e}", path.display()));
     }
-    sync_parent_dir(path);
+    durable::write_atomic(path, buf.as_bytes())
+        .map_err(|e| format!("solver cache {}: {e}", path.display()))?;
     Ok(entries.len())
 }
 
@@ -296,6 +233,8 @@ pub fn load_into(path: &Path, cache: &SolverCache) -> Result<usize, String> {
 
 #[cfg(test)]
 mod tests {
+    use std::path::PathBuf;
+
     use super::*;
     use crate::canon::query_key;
     use crate::solver::{check, Budget};

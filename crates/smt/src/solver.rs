@@ -326,7 +326,7 @@ mod tests {
         let c = p.bv_const(9, 32);
         let a = p.eq(x, c);
         let (res, _) = check(&p, &[a], Budget::default());
-        let m = res.model().unwrap();
+        let m = res.model().expect("x = 9 is satisfiable");
         assert_eq!(m.value_by_name(&p, "unused"), Some(0));
         assert_eq!(m.value_by_name(&p, "x"), Some(9));
     }

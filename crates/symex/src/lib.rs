@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![warn(clippy::unwrap_used)]
 
 //! # wasai-symex — Symback, the trace-replay symbolic executor (§3.4)
 //!
